@@ -1,9 +1,9 @@
-//! End-to-end benchmark: one full PTS run (sim engine, highway circuit)
+//! End-to-end benchmark: one full PTS run (vt engine, highway circuit)
 //! and the sequential baseline, sized to finish in seconds. Regressions
 //! here flag protocol or evaluator slowdowns across the whole stack.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pts_core::{run_sequential_baseline, Pts, PtsConfig, PtsRun, SimEngine};
+use pts_core::{run_sequential_baseline, Pts, PtsConfig, PtsRun, VirtualEngine};
 use pts_netlist::highway;
 use std::sync::Arc;
 
@@ -32,10 +32,10 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.sample_size(10);
 
-    group.bench_function("pts_sim_highway_4x2", |b| {
+    group.bench_function("pts_vt_highway_4x2", |b| {
         let netlist = Arc::new(highway());
         let run = run();
-        let engine = SimEngine::paper();
+        let engine = VirtualEngine::paper();
         b.iter(|| {
             let out = run.run_placement(netlist.clone(), &engine);
             std::hint::black_box(out.outcome.best_cost)

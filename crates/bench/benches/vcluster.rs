@@ -1,10 +1,10 @@
-//! Microbenchmarks: virtual-cluster runtime overhead — token handoffs and
-//! message round trips. These bound how much simulated-protocol activity a
-//! real second of host CPU can carry.
+//! Microbenchmarks: virtual-cluster runtime overhead — scheduler hand-offs
+//! and message round trips on the discrete-event executor. These bound how
+//! much simulated-protocol activity a real second of host CPU can carry.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pts_vcluster::topology::homogeneous;
-use pts_vcluster::SimBuilder;
+use pts_vcluster::VirtualTaskCluster;
 
 fn bench_vcluster(c: &mut Criterion) {
     let mut group = c.benchmark_group("vcluster");
@@ -12,20 +12,20 @@ fn bench_vcluster(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.sample_size(20);
 
-    group.bench_function("token_handoffs_2procs_1000", |b| {
+    group.bench_function("compute_handoffs_2tasks_1000", |b| {
         b.iter_batched(
             || {
-                let mut sim: SimBuilder<()> = SimBuilder::new(homogeneous(2));
+                let mut vt: VirtualTaskCluster<()> = VirtualTaskCluster::new(homogeneous(2));
                 for m in 0..2 {
-                    sim.spawn(m, |ctx| {
+                    vt.spawn(m, |ctx| async move {
                         for _ in 0..500 {
-                            ctx.compute(1.0);
+                            ctx.compute(1.0).await;
                         }
                     });
                 }
-                sim
+                vt
             },
-            |sim| std::hint::black_box(sim.run().end_time),
+            |vt| std::hint::black_box(vt.run().end_time),
             BatchSize::SmallInput,
         )
     });
@@ -33,49 +33,47 @@ fn bench_vcluster(c: &mut Criterion) {
     group.bench_function("pingpong_500_roundtrips", |b| {
         b.iter_batched(
             || {
-                let mut sim: SimBuilder<u32> = SimBuilder::new(homogeneous(2));
-                // Spawn in id order: p0 then p1 so ranks are known.
-                sim.spawn(0, |ctx| {
-                    let peer = pts_vcluster::ProcId(1);
+                let mut vt: VirtualTaskCluster<u32> = VirtualTaskCluster::new(homogeneous(2));
+                // Task ids follow spawn order: 0 then 1.
+                vt.spawn(0, |ctx| async move {
                     for i in 0..500u32 {
-                        ctx.send(peer, i);
-                        let _ = ctx.recv();
+                        ctx.send(1, i);
+                        let _ = ctx.recv().await;
                     }
                 });
-                sim.spawn(1, |ctx| {
-                    let peer = pts_vcluster::ProcId(0);
+                vt.spawn(1, |ctx| async move {
                     for _ in 0..500 {
-                        let v = ctx.recv();
-                        ctx.send(peer, v);
+                        let v = ctx.recv().await;
+                        ctx.send(0, v);
                     }
                 });
-                sim
+                vt
             },
-            |sim| std::hint::black_box(sim.run().total_messages()),
+            |vt| std::hint::black_box(vt.run().total_messages()),
             BatchSize::SmallInput,
         )
     });
 
-    group.bench_function("fanin_12procs", |b| {
+    group.bench_function("fanin_12tasks", |b| {
         b.iter_batched(
             || {
-                let mut sim: SimBuilder<u32> = SimBuilder::new(homogeneous(12));
-                sim.spawn(0, |ctx| {
+                let mut vt: VirtualTaskCluster<u32> = VirtualTaskCluster::new(homogeneous(12));
+                vt.spawn(0, |ctx| async move {
                     for _ in 0..11 * 20 {
-                        let _ = ctx.recv();
+                        let _ = ctx.recv().await;
                     }
                 });
                 for w in 1..12 {
-                    sim.spawn(w, move |ctx| {
+                    vt.spawn(w, move |ctx| async move {
                         for i in 0..20u32 {
-                            ctx.compute(0.5 + w as f64 * 0.1);
-                            ctx.send(pts_vcluster::ProcId(0), i);
+                            ctx.compute(0.5 + w as f64 * 0.1).await;
+                            ctx.send(0, i);
                         }
                     });
                 }
-                sim
+                vt
             },
-            |sim| std::hint::black_box(sim.run().end_time),
+            |vt| std::hint::black_box(vt.run().end_time),
             BatchSize::SmallInput,
         )
     });

@@ -1,8 +1,7 @@
 //! The cooperative async engine: thousands of logical workers on one
 //! OS thread.
 //!
-//! [`SimEngine`](crate::engine::SimEngine) and
-//! [`ThreadEngine`](crate::engine::ThreadEngine) both spend one OS thread
+//! [`ThreadEngine`](crate::engine::ThreadEngine) spends one OS thread
 //! per logical process, which caps `n_tsw` at what the host will give us
 //! in threads and stacks (a few thousand at best, with megabytes of stack
 //! each). [`AsyncEngine`] runs the *same* master/TSW/CLW protocol — the
@@ -23,12 +22,11 @@
 use crate::config::PtsConfig;
 use crate::control::RunControl;
 use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
-use crate::engine::{EngineOutput, ExecutionEngine};
-use crate::master::{run_master, run_sub_master};
+use crate::engine::{run_worker, EngineOutput, ExecutionEngine};
+use crate::master::run_master;
 use crate::messages::PtsMsg;
 use crate::report::{ClockDomain, RunReport};
 use crate::transport::TaskTransport;
-use crate::{clw::run_clw, tsw::run_tsw};
 use pts_vcluster::TaskCluster;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -77,8 +75,8 @@ impl<D: PtsDomain> ExecutionEngine<D> for AsyncEngine {
         let outcome_slot: Rc<RefCell<Option<SearchOutcome<SnapshotOf<D>>>>> =
             Rc::new(RefCell::new(None));
 
-        // Task 0: master. Spawn order must equal rank order (TaskTransport
-        // identifies rank with task id).
+        // Task 0: master, then every worker rank. Spawn order must equal
+        // rank order (TaskTransport identifies rank with task id).
         {
             let cfg = cfg.clone();
             let domain = domain.clone();
@@ -90,35 +88,12 @@ impl<D: PtsDomain> ExecutionEngine<D> for AsyncEngine {
                 *slot.borrow_mut() = Some(outcome);
             });
         }
-        // Tasks 1..=n_tsw: TSWs.
-        for i in 0..cfg.n_tsw {
+        for rank in 1..cfg.total_procs() {
             let cfg = cfg.clone();
             let domain = domain.clone();
             cluster.spawn(move |ctx| async move {
                 let mut t = TaskTransport { ctx };
-                run_tsw(&mut t, &cfg, i, &domain).await;
-            });
-        }
-        // Next tasks: CLWs, grouped by TSW.
-        for i in 0..cfg.n_tsw {
-            for j in 0..cfg.n_clw {
-                let cfg = cfg.clone();
-                let domain = domain.clone();
-                let tsw_rank = cfg.tsw_rank(i);
-                cluster.spawn(move |ctx| async move {
-                    let mut t = TaskTransport { ctx };
-                    run_clw(&mut t, &cfg, tsw_rank, j, &domain).await;
-                });
-            }
-        }
-        // Final tasks: sub-masters of the sharded collection tree (none
-        // under the default flat topology).
-        for s in 0..cfg.n_shards() {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            cluster.spawn(move |ctx| async move {
-                let mut t = TaskTransport { ctx };
-                run_sub_master(&mut t, &cfg, s, &domain).await;
+                run_worker(&mut t, &cfg, &domain, rank).await;
             });
         }
         debug_assert_eq!(cluster.num_spawned(), cfg.total_procs());
@@ -223,16 +198,5 @@ mod tests {
             half.outcome.best_per_global_iter, all.outcome.best_per_global_iter,
             "cut-short proposals must alter the search trajectory"
         );
-    }
-
-    #[test]
-    fn async_engine_is_object_safe_with_the_others() {
-        use crate::engine::{SimEngine, ThreadEngine};
-        let engines: Vec<Box<dyn ExecutionEngine<QapDomain>>> = vec![
-            Box::new(SimEngine::paper()),
-            Box::new(ThreadEngine),
-            Box::new(AsyncEngine::new()),
-        ];
-        assert_eq!(engines[2].name(), "async");
     }
 }

@@ -7,7 +7,7 @@
 //! with a typed [`ConfigError`]).
 //!
 //! ```
-//! use pts_core::{Pts, SimEngine};
+//! use pts_core::{Pts, VirtualEngine};
 //! use pts_core::qap_domain::QapDomain;
 //!
 //! let run = Pts::builder()
@@ -18,7 +18,7 @@
 //!     .seed(7)
 //!     .build()
 //!     .expect("valid configuration");
-//! let out = run.execute(&QapDomain::random(16, 1), &SimEngine::paper());
+//! let out = run.execute(&QapDomain::random(16, 1), &VirtualEngine::paper());
 //! assert!(out.outcome.best_cost <= out.outcome.initial_cost);
 //! ```
 
@@ -325,7 +325,7 @@ impl RunBuilder {
         self
     }
 
-    /// Virtual work accounting (sim engine).
+    /// Virtual work accounting (vt engine).
     pub fn work_model(mut self, work: WorkModel) -> Self {
         self.cfg.work = work;
         self

@@ -24,7 +24,7 @@ pub enum SnapshotMode {
     /// solution), falling back to a full snapshot whenever the delta
     /// would be at least as large. Default. Bit-identical in search
     /// trajectory to [`SnapshotMode::Full`]; only wire sizes (and hence
-    /// the virtual timeline of the sim engine) differ.
+    /// the virtual timeline of the vt engine) differ.
     Delta,
     /// Always ship full snapshots — the paper's protocol, and the wire
     /// format every release before the delta layer used.
@@ -41,7 +41,7 @@ pub enum CostKind {
     WeightedSum,
 }
 
-/// Virtual-CPU work charged per algorithmic operation (sim engine only).
+/// Virtual-CPU work charged per algorithmic operation (vt engine only).
 ///
 /// Units are abstract "work units"; a speed-1.0 machine executes one unit
 /// per virtual second. Values approximate the relative real cost of each
@@ -244,7 +244,7 @@ pub struct PtsConfig {
     /// Default 2000; widen on slow CI hosts. Stragglers past the window
     /// are still killed and reaped unconditionally.
     pub reap_grace_ms: u64,
-    /// Virtual work accounting (sim engine).
+    /// Virtual work accounting (vt engine).
     pub work: WorkModel,
 }
 
@@ -278,6 +278,26 @@ impl Default for PtsConfig {
             work: WorkModel::default(),
         }
     }
+}
+
+/// The protocol role of one rank: the inverse of the rank layout
+/// ([`PtsConfig::tsw_rank`], [`PtsConfig::clw_rank`],
+/// [`PtsConfig::shard_rank`]), as computed by [`PtsConfig::role_of`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    /// The root master (rank 0).
+    Master,
+    /// TSW `i`.
+    Tsw(usize),
+    /// CLW `j` of TSW `tsw`.
+    Clw {
+        /// Index of the TSW this CLW serves.
+        tsw: usize,
+        /// Index of the CLW within its TSW's group.
+        j: usize,
+    },
+    /// Sub-master `s` of the sharded collection tree.
+    SubMaster(usize),
 }
 
 /// The children of one collection node in the (possibly sharded) master
@@ -396,6 +416,26 @@ impl PtsConfig {
     pub fn shard_rank(&self, shard: usize) -> usize {
         assert!(shard < self.n_shards(), "shard {shard} out of range");
         1 + self.n_tsw + self.n_tsw * self.n_clw + shard
+    }
+
+    /// The role rank `rank` plays: master, then TSWs, then CLWs grouped
+    /// by TSW, then sub-masters.
+    pub fn role_of(&self, rank: usize) -> Role {
+        assert!(rank < self.total_procs(), "rank {rank} out of range");
+        let Some(r) = rank.checked_sub(1) else {
+            return Role::Master;
+        };
+        if r < self.n_tsw {
+            return Role::Tsw(r);
+        }
+        let r = r - self.n_tsw;
+        if r < self.n_tsw * self.n_clw {
+            return Role::Clw {
+                tsw: r / self.n_clw,
+                j: r % self.n_clw,
+            };
+        }
+        Role::SubMaster(r - self.n_tsw * self.n_clw)
     }
 
     /// Rank of the node TSW `i` reports to: the root master when flat,
@@ -682,6 +722,28 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..cfg.total_procs()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn role_of_inverts_the_rank_layout() {
+        for (n_tsw, n_clw, shard_fanout) in [(3, 2, 0), (1, 0, 0), (5, 2, 2), (7, 1, 2)] {
+            let cfg = PtsConfig {
+                n_tsw,
+                n_clw,
+                shard_fanout,
+                ..PtsConfig::default()
+            };
+            assert_eq!(cfg.role_of(cfg.master_rank()), Role::Master);
+            for i in 0..n_tsw {
+                assert_eq!(cfg.role_of(cfg.tsw_rank(i)), Role::Tsw(i));
+                for j in 0..n_clw {
+                    assert_eq!(cfg.role_of(cfg.clw_rank(i, j)), Role::Clw { tsw: i, j });
+                }
+            }
+            for s in 0..cfg.n_shards() {
+                assert_eq!(cfg.role_of(cfg.shard_rank(s)), Role::SubMaster(s));
+            }
+        }
     }
 
     #[test]

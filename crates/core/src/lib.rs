@@ -27,14 +27,15 @@
 //!   ([`placement_problem::PlacementDomain`], the paper's workload) and
 //!   quadratic assignment ([`qap_domain::QapDomain`]) are wired in;
 //! * **substrate**: any [`engine::ExecutionEngine`] — the deterministic
-//!   virtual heterogeneous cluster ([`engine::SimEngine`], the paper's
-//!   PVM-testbed substitute), native threads ([`engine::ThreadEngine`])
-//!   for real wall-clock parallelism, cooperative futures
+//!   virtual heterogeneous cluster ([`virtual_engine::VirtualEngine`],
+//!   the paper's PVM-testbed substitute, at thousand-worker scale on one
+//!   OS thread), native threads ([`engine::ThreadEngine`]) for real
+//!   wall-clock parallelism, cooperative futures
 //!   ([`async_engine::AsyncEngine`]) multiplexing thousands of logical
-//!   workers on one OS thread, or the virtual-time cooperative engine
-//!   ([`virtual_engine::VirtualEngine`]) — SimEngine's timing model at
-//!   AsyncEngine's scale, bit-identical to the simulated cluster. All
-//!   return one unified [`report::RunReport`].
+//!   workers on one OS thread, or worker ranks as child OS processes
+//!   ([`proc::ProcEngine`]). Every engine runs the master itself and
+//!   hosts the other ranks through [`engine::run_worker`]; all return one
+//!   unified [`report::RunReport`].
 //!
 //! Entry point: [`builder::Pts::builder`] → validated
 //! [`builder::PtsRun`] → `execute` / `run_placement`.
@@ -68,14 +69,14 @@ pub mod wire;
 pub use async_engine::AsyncEngine;
 pub use builder::{ConfigError, PlacementRunOutput, Pts, PtsRun, RunBuilder};
 pub use config::{
-    CostKind, PtsConfig, SearchStrategy, ShardChildren, ShardSpec, SnapshotMode, SyncPolicy,
+    CostKind, PtsConfig, Role, SearchStrategy, ShardChildren, ShardSpec, SnapshotMode, SyncPolicy,
     WorkModel,
 };
 pub use control::RunControl;
 pub use domain::{
     DeltaOf, DeltaSnapshot, PtsDomain, PtsProblem, SearchOutcome, SnapshotOf, WireSized,
 };
-pub use engine::{EngineOutput, ExecutionEngine, SimEngine, ThreadEngine};
+pub use engine::{run_worker, EngineOutput, ExecutionEngine, ThreadEngine};
 pub use fault::{Contention, FaultMix, FaultSpec, WorkerFault};
 pub use messages::{PtsMsg, SharedTabu, SnapshotBase, SnapshotPayload, TabuEntries, TabuPayload};
 pub use meter::{take_snapshot_meter, take_trials, SnapshotMeter};

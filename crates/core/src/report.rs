@@ -24,7 +24,7 @@ pub enum ClockDomain {
 /// Metrics of one PTS run, engine-independent.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// Engine that carried the run ("sim", "threads", "async", "vt").
+    /// Engine that carried the run ("threads", "async", "vt", "proc").
     pub engine: &'static str,
     /// Clock the search-time metrics are measured in.
     pub clock: ClockDomain,
@@ -32,11 +32,10 @@ pub struct RunReport {
     /// units.
     pub end_time: f64,
     /// Real wall-clock duration of the whole run on this host (equals the
-    /// search time for the thread engine, host time for the sim engine).
+    /// search time for the thread engine, host time for the vt engine).
     pub wall_seconds: f64,
-    /// Per-process counters, indexed by rank (master = 0). The sim and
-    /// vt engines report full virtual-time accounting (bit-identical to
-    /// each other on the same cluster); the thread and async engines
+    /// Per-process counters, indexed by rank (master = 0). The vt engine
+    /// reports full virtual-time accounting; the thread and async engines
     /// report message/byte/work counters and recv wait time. On Linux the
     /// thread engine also fills `busy_time` with each worker thread's CPU
     /// time (`getrusage(RUSAGE_THREAD)`); the async engine reports 0 busy
@@ -73,7 +72,7 @@ impl RunReport {
     }
 
     /// Fraction of total process-time spent computing rather than waiting.
-    /// Meaningful for the sim and vt engines (the paper's utilization
+    /// Meaningful for the vt engine (the paper's utilization
     /// measure, in virtual time) and, on Linux, for the thread engine
     /// (per-thread CPU time via `getrusage(RUSAGE_THREAD)` against
     /// channel-blocked wall time). The async engine multiplexes every
@@ -107,7 +106,7 @@ mod tests {
     #[test]
     fn aggregates_sum_over_procs() {
         let r = RunReport {
-            engine: "sim",
+            engine: "vt",
             clock: ClockDomain::Virtual,
             end_time: 12.0,
             wall_seconds: 0.5,

@@ -561,8 +561,21 @@ impl Drop for Server {
     }
 }
 
+/// Answer a client frame that names no job with [`kind::ERROR`] for
+/// job 0.
+fn reply_error(writer: &Mutex<Stream>, message: &str) {
+    let mut payload = Vec::new();
+    wire::put_u32(&mut payload, 0);
+    put_str(&mut payload, message);
+    let mut w = writer.lock().expect("client writer lock poisoned");
+    let _ = write_client_frame(&mut *w, kind::ERROR, &payload);
+}
+
 /// Per-connection reader: accepts submissions and cancellations until the
 /// client disconnects; a disconnect cancels everything it submitted.
+/// Frames are capped at [`wire::MAX_FRAME`]: an unparseable frame is
+/// answered with ERROR, an oversized length prefix with ERROR and a
+/// hang-up.
 fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
     static NEXT_JOB: AtomicU32 = AtomicU32::new(1);
     let writer = match stream.try_clone() {
@@ -580,7 +593,7 @@ fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
     }
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
-    loop {
+    'conn: loop {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
@@ -598,12 +611,31 @@ fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
         // Drain complete frames.
         while buf.len() >= 4 {
             let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+            if len > wire::MAX_FRAME {
+                // Never buffer toward an oversized prefix. The stream
+                // cannot be resynchronised past it: answer, then hang up.
+                reply_error(
+                    &writer,
+                    &format!(
+                        "frame of {len} bytes exceeds the {}-byte cap",
+                        wire::MAX_FRAME
+                    ),
+                );
+                stream.shutdown();
+                break 'conn;
+            }
             if buf.len() < 4 + len {
                 break;
             }
             let body: Vec<u8> = buf.drain(..4 + len).skip(4).collect();
-            let Ok((version, k, payload)) = parse_client_frame(&body) else {
-                continue;
+            let (version, k, payload) = match parse_client_frame(&body) {
+                Ok(frame) => frame,
+                Err(e) => {
+                    // The length prefix was sound, so the stream stays in
+                    // sync: reject this frame and keep serving.
+                    reply_error(&writer, &format!("bad frame: {e}"));
+                    continue;
+                }
             };
             match k {
                 kind::SUBMIT => match JobRequest::decode_versioned(payload, version) {
@@ -632,13 +664,7 @@ fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
                         let _ =
                             write_client_frame(&mut *writer.lock().unwrap(), kind::ACCEPTED, &ack);
                     }
-                    Err(e) => {
-                        let mut payload = Vec::new();
-                        wire::put_u32(&mut payload, 0);
-                        put_str(&mut payload, &format!("bad submit: {e}"));
-                        let _ =
-                            write_client_frame(&mut *writer.lock().unwrap(), kind::ERROR, &payload);
-                    }
+                    Err(e) => reply_error(&writer, &format!("bad submit: {e}")),
                 },
                 kind::CANCEL => {
                     let mut r = WireReader::new(payload);

@@ -1,15 +1,14 @@
-//! Transport abstraction: the same master/TSW/CLW code runs on the virtual
-//! cluster (deterministic, heterogeneous, virtual time), on native threads
-//! (real parallel wall-clock execution), and on the two cooperative task
-//! runtimes (thousands of logical workers on one thread — wall clock or
-//! virtual time).
+//! Transport abstraction: the same master/TSW/CLW code runs on native
+//! threads (real parallel wall-clock execution), on the two cooperative
+//! task runtimes (thousands of logical workers on one thread — wall clock
+//! or virtual time), and over sockets between OS processes.
 //!
 //! The protocol loops are `async`: [`Transport::recv`] and
 //! [`Transport::compute`] are their suspension points. Blocking
-//! substrates (the virtual cluster, native threads) resolve both futures
-//! on their first poll — they block *inside* the poll, so driving their
-//! protocol futures with [`drive_sync`] never actually suspends. The
-//! cooperative substrates suspend for real: [`TaskTransport`] returns
+//! substrates (native threads, sockets) resolve both futures on their
+//! first poll — they block *inside* the poll, so driving their protocol
+//! futures with [`drive_sync`] never actually suspends. The cooperative
+//! substrates suspend for real: [`TaskTransport`] returns
 //! `Pending` on an empty mailbox, and [`VirtualTransport`] additionally
 //! parks inside `compute` until the charged work completes on the task's
 //! machine — which is what lets one OS thread interleave thousands of
@@ -21,7 +20,7 @@
 
 use crate::domain::PtsProblem;
 use crate::messages::PtsMsg;
-use pts_vcluster::{ProcCtx, ProcId, ProcStats, TaskCtx, VirtualTaskCtx};
+use pts_vcluster::{ProcStats, TaskCtx, VirtualTaskCtx};
 use std::future::Future;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -64,7 +63,7 @@ pub trait Transport<P: PtsProblem> {
         async move { Some(self.recv().await) }
     }
     /// Scheduling point inside a long compute stretch. On substrates
-    /// where peers progress independently (virtual cluster, threads) this
+    /// where peers progress independently (virtual time, threads) this
     /// is a no-op; the cooperative transport re-enqueues the task so
     /// siblings run — and messages sent mid-stretch (a `CutShort`) can
     /// arrive before the stretch completes.
@@ -84,9 +83,9 @@ pub(crate) fn protocol_warn(rank: usize, what: &str) {
 
 /// Drive a protocol future built over a *blocking* transport.
 ///
-/// [`SimTransport`] and [`ThreadTransport`] block inside `poll` (the
-/// virtual-cluster token hand-off, a channel `recv`), so their protocol
-/// futures complete on the first poll. This is the synchronous engines'
+/// [`ThreadTransport`] and [`crate::socket::SocketTransport`] block
+/// inside `poll` (a channel or socket `recv`), so their protocol futures
+/// complete on the first poll. This is the synchronous engines'
 /// bridge to the shared `async` protocol code.
 ///
 /// # Panics
@@ -102,52 +101,12 @@ pub fn drive_sync<F: Future>(fut: F) -> F::Output {
     }
 }
 
-/// Virtual-cluster transport: ranks coincide with simulated process ids
-/// (processes are spawned in rank order).
-pub struct SimTransport<P: PtsProblem> {
-    /// The simulated process handle this transport wraps.
-    pub ctx: ProcCtx<PtsMsg<P>>,
-}
-
-impl<P: PtsProblem> Transport<P> for SimTransport<P> {
-    fn rank(&self) -> usize {
-        self.ctx.id().index()
-    }
-
-    fn now(&self) -> f64 {
-        self.ctx.now()
-    }
-
-    fn compute(&mut self, work: f64) -> impl Future<Output = ()> {
-        // Blocks inside the call (virtual-cluster token hand-off); the
-        // returned future is already complete.
-        self.ctx.compute(work);
-        std::future::ready(())
-    }
-
-    fn send(&mut self, dst: usize, msg: PtsMsg<P>) {
-        let bytes = msg.wire_size();
-        crate::meter::note_send(&msg);
-        self.ctx.send_sized(ProcId(dst), msg, bytes);
-    }
-
-    fn recv(&mut self) -> impl Future<Output = PtsMsg<P>> {
-        // Blocks inside poll: the simulated process hands the token over
-        // and resumes with the message — never `Pending`.
-        std::future::poll_fn(|_cx| Poll::Ready(self.ctx.recv()))
-    }
-
-    fn try_recv(&mut self) -> Option<PtsMsg<P>> {
-        self.ctx.try_recv()
-    }
-}
-
 /// Shared per-rank stats sink filled as thread transports retire.
 pub type StatsSink = Arc<Mutex<Vec<ProcStats>>>;
 
 /// Native-thread transport over std mpsc channels. Counts messages,
 /// bytes, charged work, and recv wait time so the thread engine can report
-/// the same per-process metrics shape as the simulator.
+/// the same per-process metrics shape as the other engines.
 pub struct ThreadTransport<P: PtsProblem> {
     rank: usize,
     start: Instant,
@@ -302,14 +261,13 @@ impl<P: PtsProblem> Transport<P> for TaskTransport<P> {
 /// Virtual-time cooperative transport: ranks coincide with task ids
 /// (tasks are spawned in rank order by
 /// [`crate::virtual_engine::VirtualEngine`]). Both `recv` *and*
-/// `compute` suspend — a parked future stands in for a parked simulated
+/// `compute` suspend — a parked future stands in for a parked
 /// process, so the discrete-event executor can interleave thousands of
-/// workers under one virtual clock, bit-identically to the
-/// thread-per-process virtual cluster.
+/// workers under one virtual clock.
 ///
-/// `yield_now` keeps the default no-op, matching [`SimTransport`]: on a
-/// virtual-time substrate `compute` itself is the scheduling point, so
-/// peers already interleave mid-stretch.
+/// `yield_now` keeps the default no-op: on a virtual-time substrate
+/// `compute` itself is the scheduling point, so peers already interleave
+/// mid-stretch.
 pub struct VirtualTransport<P: PtsProblem> {
     /// The virtual-time task handle this transport wraps.
     pub ctx: VirtualTaskCtx<PtsMsg<P>>,

@@ -1,38 +1,29 @@
-//! The virtual-time cooperative engine ("vt"): paper-style heterogeneity
-//! measurements at thousand-worker scale.
+//! The virtual-time cooperative engine ("vt"): the paper's
+//! heterogeneous testbed, at thousand-worker scale.
 //!
-//! [`SimEngine`](crate::engine::SimEngine) owns the paper's timing model
-//! — machine speeds, background load, message latency, a deterministic
-//! virtual clock — but pays one OS thread per logical process, so
-//! Fig.-11-style measurements stop at tens of workers.
-//! [`AsyncEngine`](crate::async_engine::AsyncEngine) multiplexes
-//! thousands of logical workers on one thread, but only knows wall
-//! clock. [`VirtualEngine`] is both at once: the same master/TSW/CLW
-//! protocol runs as futures on
-//! [`pts_vcluster::virtual_runtime::VirtualTaskCluster`], a
-//! discrete-event scheduler whose `compute` and `recv` suspend under the
-//! *same* virtual clock and machine model as the simulated cluster.
-//!
-//! The resulting timeline is **bit-identical** to
-//! [`SimEngine`](crate::engine::SimEngine)'s on the same
-//! [`ClusterSpec`] — end time, utilization, per-process accounting,
-//! forced reports, and the search trajectory all match exactly (the
-//! `determinism` and `vt_scenarios` integration suites pin this) — while
-//! an `n_tsw = 1024` heterogeneous run fits in one OS thread's worth of
-//! resources. This is what lets the paper's utilization/speedup and
-//! half-report-vs-wait-all claims be measured far beyond the twelve
-//! workstations of the original testbed, deterministically, in CI.
+//! The paper's measurements need a timing model — machine speeds,
+//! background load, message latency — under a deterministic virtual
+//! clock. [`VirtualEngine`] runs the master/TSW/CLW protocol as futures
+//! on [`pts_vcluster::virtual_runtime::VirtualTaskCluster`], a
+//! discrete-event scheduler whose `compute` and `recv` suspend under
+//! that clock and machine model. Identical inputs replay bit-identically
+//! — end time, utilization, per-process accounting, forced reports and
+//! the search trajectory (the `determinism` and `vt_scenarios`
+//! integration suites pin golden values) — while an `n_tsw = 1024`
+//! heterogeneous run fits in one OS thread's worth of resources. This is
+//! what lets the paper's utilization/speedup and half-report-vs-wait-all
+//! claims be measured far beyond the twelve workstations of the original
+//! testbed, deterministically, in CI.
 
 use crate::config::PtsConfig;
 use crate::control::RunControl;
 use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
-use crate::engine::{EngineOutput, ExecutionEngine};
+use crate::engine::{run_worker, EngineOutput, ExecutionEngine};
 use crate::fault::{Contention, FaultSpec};
-use crate::master::{run_master, run_sub_master};
+use crate::master::run_master;
 use crate::messages::PtsMsg;
 use crate::report::{ClockDomain, RunReport};
 use crate::transport::VirtualTransport;
-use crate::{clw::run_clw, tsw::run_tsw};
 use pts_vcluster::topology::{paper_cluster, round_robin_assignment};
 use pts_vcluster::{ClusterSpec, VirtualTaskCluster};
 use std::cell::RefCell;
@@ -43,7 +34,7 @@ use std::time::Instant;
 /// cluster timing model at cooperative-futures scale.
 ///
 /// ```
-/// use pts_core::{Pts, SimEngine, VirtualEngine};
+/// use pts_core::{Pts, VirtualEngine};
 /// use pts_core::qap_domain::QapDomain;
 ///
 /// let run = Pts::builder()
@@ -55,12 +46,12 @@ use std::time::Instant;
 ///     .build()
 ///     .expect("valid configuration");
 /// let domain = QapDomain::random(16, 2);
-/// let vt = run.execute(&domain, &VirtualEngine::paper());
-/// let sim = run.execute(&domain, &SimEngine::paper());
-/// // Same timing model, same virtual timeline — bit for bit.
-/// assert_eq!(vt.report.end_time, sim.report.end_time);
-/// assert_eq!(vt.outcome.best_cost, sim.outcome.best_cost);
-/// assert_eq!(vt.report.engine, "vt");
+/// let a = run.execute(&domain, &VirtualEngine::paper());
+/// let b = run.execute(&domain, &VirtualEngine::paper());
+/// // Deterministic virtual timeline — bit for bit.
+/// assert_eq!(a.report.end_time, b.report.end_time);
+/// assert_eq!(a.outcome.best_cost, b.outcome.best_cost);
+/// assert_eq!(a.report.engine, "vt");
 /// ```
 #[derive(Clone, Debug)]
 pub struct VirtualEngine {
@@ -71,19 +62,7 @@ pub struct VirtualEngine {
 
 impl VirtualEngine {
     /// Simulate an arbitrary cluster description.
-    ///
-    /// # Panics
-    ///
-    /// If the cluster configures
-    /// [`send_overhead_work`](pts_vcluster::LinkModel::send_overhead_work):
-    /// the cooperative runtime's `send` is not a suspension point, so it
-    /// cannot charge marshalling work to the sender. Use
-    /// [`SimEngine`](crate::engine::SimEngine) for such clusters.
     pub fn new(cluster: ClusterSpec) -> VirtualEngine {
-        assert!(
-            cluster.link.send_overhead_work == 0.0,
-            "VirtualEngine does not support send_overhead_work; use SimEngine"
-        );
         VirtualEngine {
             cluster,
             contention: Contention::default(),
@@ -103,8 +82,8 @@ impl VirtualEngine {
 
     /// Model per-machine contention: processes sharing a machine
     /// time-slice it, so oversubscribed runs cost more virtual time.
-    /// The default ([`Contention::Exclusive`]) is the classic model —
-    /// and the bit-identical-to-`SimEngine` one.
+    /// The default ([`Contention::Exclusive`]) is the classic model the
+    /// pinned goldens were captured under.
     pub fn with_contention(mut self, contention: Contention) -> VirtualEngine {
         self.contention = contention;
         self
@@ -138,10 +117,9 @@ impl<D: PtsDomain> ExecutionEngine<D> for VirtualEngine {
         let outcome_slot: Rc<RefCell<Option<SearchOutcome<SnapshotOf<D>>>>> =
             Rc::new(RefCell::new(None));
 
-        // Task 0: master. Spawn order must equal rank order
-        // (VirtualTransport identifies rank with task id), and machine
-        // assignment must match SimEngine's for the bit-identical
-        // timeline guarantee.
+        // Task 0: master, then every worker rank. Spawn order must equal
+        // rank order (VirtualTransport identifies rank with task id, and
+        // fault specs lower onto task ids).
         {
             let cfg = cfg.clone();
             let domain = domain.clone();
@@ -153,38 +131,12 @@ impl<D: PtsDomain> ExecutionEngine<D> for VirtualEngine {
                 *slot.borrow_mut() = Some(outcome);
             });
         }
-        // Tasks 1..=n_tsw: TSWs.
-        for i in 0..cfg.n_tsw {
+        for (rank, &machine) in assignment.iter().enumerate().skip(1) {
             let cfg = cfg.clone();
             let domain = domain.clone();
-            let rank = cfg.tsw_rank(i);
-            cluster.spawn(assignment[rank], move |ctx| async move {
+            cluster.spawn(machine, move |ctx| async move {
                 let mut t = VirtualTransport { ctx };
-                run_tsw(&mut t, &cfg, i, &domain).await;
-            });
-        }
-        // Next tasks: CLWs, grouped by TSW.
-        for i in 0..cfg.n_tsw {
-            for j in 0..cfg.n_clw {
-                let cfg = cfg.clone();
-                let domain = domain.clone();
-                let rank = cfg.clw_rank(i, j);
-                let tsw_rank = cfg.tsw_rank(i);
-                cluster.spawn(assignment[rank], move |ctx| async move {
-                    let mut t = VirtualTransport { ctx };
-                    run_clw(&mut t, &cfg, tsw_rank, j, &domain).await;
-                });
-            }
-        }
-        // Final tasks: sub-masters of the sharded collection tree (none
-        // under the default flat topology).
-        for s in 0..cfg.n_shards() {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            let rank = cfg.shard_rank(s);
-            cluster.spawn(assignment[rank], move |ctx| async move {
-                let mut t = VirtualTransport { ctx };
-                run_sub_master(&mut t, &cfg, s, &domain).await;
+                run_worker(&mut t, &cfg, &domain, rank).await;
             });
         }
         debug_assert_eq!(cluster.num_spawned(), cfg.total_procs());
@@ -212,7 +164,6 @@ impl<D: PtsDomain> ExecutionEngine<D> for VirtualEngine {
 mod tests {
     use super::*;
     use crate::builder::Pts;
-    use crate::engine::SimEngine;
     use crate::qap_domain::QapDomain;
 
     fn small_run() -> crate::builder::PtsRun {
@@ -247,26 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn vt_engine_matches_sim_report_exactly() {
-        // The engine's whole reason to exist: the SimEngine timeline
-        // without the thread-per-process cost. Everything the report
-        // carries — per-process virtual accounting included — must be
-        // bit-identical.
-        let domain = QapDomain::random(18, 9);
-        let sim = small_run().execute(&domain, &SimEngine::paper());
-        let vt = small_run().execute(&domain, &VirtualEngine::paper());
-        assert_eq!(vt.report.end_time, sim.report.end_time);
-        assert_eq!(vt.report.per_proc, sim.report.per_proc);
-        assert_eq!(vt.outcome.best_cost, sim.outcome.best_cost);
-        assert_eq!(
-            vt.outcome.best_per_global_iter,
-            sim.outcome.best_per_global_iter
-        );
-        assert_eq!(vt.outcome.end_time, sim.outcome.end_time);
-        assert_eq!(vt.outcome.forced_reports, sim.outcome.forced_reports);
-    }
-
-    #[test]
     fn vt_engine_is_deterministic() {
         let domain = QapDomain::random(18, 9);
         let a = small_run().execute(&domain, &VirtualEngine::paper());
@@ -274,31 +205,5 @@ mod tests {
         assert_eq!(a.outcome.best_cost, b.outcome.best_cost);
         assert_eq!(a.report.end_time, b.report.end_time);
         assert_eq!(a.report.per_proc, b.report.per_proc);
-    }
-
-    #[test]
-    #[should_panic(expected = "send_overhead_work")]
-    fn vt_engine_rejects_marshalling_overhead_clusters() {
-        use pts_vcluster::{LinkModel, Machine};
-        VirtualEngine::new(ClusterSpec::new(
-            vec![Machine::new("a", 1.0)],
-            LinkModel {
-                send_overhead_work: 1.0,
-                ..LinkModel::default()
-            },
-        ));
-    }
-
-    #[test]
-    fn vt_engine_is_object_safe_with_the_others() {
-        use crate::engine::{SimEngine, ThreadEngine};
-        use crate::AsyncEngine;
-        let engines: Vec<Box<dyn ExecutionEngine<QapDomain>>> = vec![
-            Box::new(SimEngine::paper()),
-            Box::new(ThreadEngine),
-            Box::new(AsyncEngine::new()),
-            Box::new(VirtualEngine::paper()),
-        ];
-        assert_eq!(engines[3].name(), "vt");
     }
 }

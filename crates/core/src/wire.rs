@@ -87,6 +87,12 @@ fn version_ok(v: u8) -> bool {
 /// per-message wire overhead not counted by [`PtsMsg::wire_size`].
 pub const FRAME_LEN_BYTES: usize = 4;
 
+/// Largest frame body a reader accepts — the worker codec and the
+/// serve protocol alike. A length prefix beyond it is rejected before
+/// any buffering, so a corrupt or hostile prefix cannot make a reader
+/// allocate up to the 4 GiB a `u32` can declare.
+pub(crate) const MAX_FRAME: usize = 256 << 20;
+
 /// Fixed message-header bytes (mirrors the model's `HDR` charge).
 const HDR: usize = 32;
 /// Model bytes per tabu entry: 8-byte attribute + `u32` tenure.
@@ -1168,7 +1174,6 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>
         }
     }
     let n = u32::from_le_bytes(len) as usize;
-    const MAX_FRAME: usize = 256 << 20;
     if n > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,

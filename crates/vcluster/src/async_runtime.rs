@@ -1,15 +1,13 @@
 //! A single-threaded cooperative task runtime: thousands of logical
 //! processes on one OS thread.
 //!
-//! [`SimBuilder`](crate::runtime::SimBuilder) gives every simulated
-//! process its own OS thread (only one ever runs, admitted by a token).
-//! That is faithful to the paper's PVM testbed but caps the process count
-//! at what the host will give us in threads and stacks — far below the
-//! "thousands of simulated workers on one host" target. This module is the
-//! scale-oriented substrate: every logical process is a *future*, polled
-//! by a deterministic FIFO executor, and a blocking receive is simply a
-//! poll that returns [`Poll::Pending`] until a message lands in the
-//! task's mailbox.
+//! One OS thread per logical process caps the process count at what the
+//! host will give us in threads and stacks — far below the "thousands of
+//! simulated workers on one host" target. This module is the
+//! scale-oriented wall-clock substrate: every logical process is a
+//! *future*, polled by a deterministic FIFO executor, and a blocking
+//! receive is simply a poll that returns [`Poll::Pending`] until a
+//! message lands in the task's mailbox.
 //!
 //! Design notes:
 //!
@@ -29,7 +27,7 @@
 //!   for scale).
 //!
 //! Deadlock (every live task parked with an empty mailbox) panics with
-//! the list of stuck tasks, mirroring the virtual cluster's poisoning.
+//! the list of stuck tasks, like the virtual cluster.
 
 use crate::metrics::{ProcStats, RunReport};
 use std::cell::RefCell;
@@ -134,8 +132,7 @@ impl<M> Hub<M> {
     }
 }
 
-/// Handle through which a task interacts with the runtime — the
-/// cooperative analogue of [`crate::process::ProcCtx`].
+/// Handle through which a task interacts with the runtime.
 ///
 /// Cheap to clone (shares the hub); `recv` is the only suspension point.
 pub struct TaskCtx<M> {

@@ -7,32 +7,26 @@
 //! and message latency — while being fully deterministic and runnable
 //! anywhere:
 //!
-//! * every process is an OS thread, but exactly **one runs at a time**; a
-//!   token scheduler advances a global **virtual clock** to the next
-//!   process wake-up in `(time, pid)` order, so runs are exactly
-//!   reproducible,
-//! * CPU work is charged explicitly via [`process::ProcCtx::compute`] in
-//!   abstract *work units*; a machine of speed `s` executes `s` units per
-//!   virtual second, modulated by its background [`machine::LoadModel`],
+//! * [`virtual_runtime::VirtualTaskCluster`] runs every logical process
+//!   as a future on one OS thread under a discrete-event scheduler that
+//!   advances a global **virtual clock** to the next wake-up in
+//!   `(time, task id)` order, so runs are exactly reproducible and
+//!   thousands of processes fit in one thread,
+//! * CPU work is charged explicitly via
+//!   [`virtual_runtime::VirtualTaskCtx::compute`] in abstract *work
+//!   units*; a machine of speed `s` executes `s` units per virtual
+//!   second, modulated by its background [`machine::LoadModel`],
 //! * messages travel through a [`message::LinkModel`] with latency and
 //!   bandwidth; mailbox delivery order is `(arrival time, send sequence)`,
 //! * per-process [`metrics`] (busy time, message counts) feed the
-//!   experiment harness.
+//!   experiment harness,
+//! * opt-in [`fault`] layers add machine contention and scripted faults.
 //!
 //! The paper's twelve-machine cluster (7 fast / 3 medium / 2 slow) is
 //! provided by [`topology::paper_cluster`].
 //!
-//! For scale beyond what one-thread-per-process affords, the crate also
-//! ships two cooperative runtimes that multiplex thousands of logical
-//! processes as futures on a single OS thread:
-//!
-//! * [`async_runtime`] — deterministic FIFO scheduling, wall-clock
-//!   accounting (no virtual time);
-//! * [`virtual_runtime`] — a discrete-event scheduler with the *same
-//!   virtual clock and machine model* as the token scheduler: runs are
-//!   bit-identical in timeline and accounting to [`runtime::SimBuilder`],
-//!   so paper-style heterogeneity measurements scale to thousands of
-//!   workers.
+//! [`async_runtime::TaskCluster`] is the wall-clock sibling: the same
+//! cooperative futures in deterministic FIFO order, without virtual time.
 
 pub mod async_runtime;
 pub mod fault;
@@ -40,8 +34,6 @@ pub mod machine;
 pub mod mailbox;
 pub mod message;
 pub mod metrics;
-pub mod process;
-pub mod runtime;
 pub mod topology;
 pub mod virtual_runtime;
 
@@ -50,7 +42,5 @@ pub use fault::{Contention, FaultPlan, MachineEvent, RouteAction, RouteFault};
 pub use machine::{LoadModel, Machine};
 pub use message::LinkModel;
 pub use metrics::{ProcStats, RunReport, TaskFate};
-pub use process::{ProcCtx, ProcId};
-pub use runtime::SimBuilder;
 pub use topology::ClusterSpec;
 pub use virtual_runtime::{EventQueue, VirtualTaskCluster, VirtualTaskCtx};

@@ -10,9 +10,6 @@ pub struct LinkModel {
     pub local_latency: f64,
     /// Bandwidth in bytes per virtual second.
     pub bytes_per_sec: f64,
-    /// CPU work units charged to the *sender* per message (marshalling /
-    /// PVM pack cost).
-    pub send_overhead_work: f64,
 }
 
 impl Default for LinkModel {
@@ -23,7 +20,6 @@ impl Default for LinkModel {
             latency: 1e-3,
             local_latency: 5e-5,
             bytes_per_sec: 1e6,
-            send_overhead_work: 0.0,
         }
     }
 }
@@ -57,7 +53,6 @@ mod tests {
             latency: 0.0,
             local_latency: 0.0,
             bytes_per_sec: 1000.0,
-            send_overhead_work: 0.0,
         };
         assert!((l.transfer_time(0, 1, 500) - 0.5).abs() < 1e-12);
         assert!((l.transfer_time(0, 1, 2000) - 2.0).abs() < 1e-12);

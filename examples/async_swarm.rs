@@ -1,9 +1,9 @@
 //! A thousand tabu search workers on one host — the scale the paper's
 //! twelve-workstation PVM cluster points toward.
 //!
-//! `SimEngine` and `ThreadEngine` both cost one OS thread per logical
-//! process, so `n_tsw = 1000` (plus a CLW each, plus the master: 2001
-//! processes) would ask the OS for 2001 threads and their stacks.
+//! `ThreadEngine` costs one OS thread per logical process, so
+//! `n_tsw = 1000` (plus a CLW each, plus the master: 2001 processes)
+//! would ask the OS for 2001 threads and their stacks.
 //! `AsyncEngine` runs the same master/TSW/CLW protocol as cooperatively
 //! scheduled futures: 2001 logical workers, one OS thread.
 //!

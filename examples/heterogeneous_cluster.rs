@@ -29,7 +29,7 @@ fn main() {
             .sync(sync)
             .build()
             .unwrap();
-        let out = run.run_placement(netlist.clone(), &SimEngine::paper());
+        let out = run.run_placement(netlist.clone(), &VirtualEngine::paper());
         let o = &out.outcome;
         let report = &out.report;
         println!("{label}:");

@@ -52,7 +52,7 @@ fn main() {
     println!("\nsequential TS best cost: {:.4}", seq.best_cost);
 
     // --- parallel tabu search from the constructive start ------------------
-    let out = run.run_placement_from(netlist.clone(), &SimEngine::paper(), constructive);
+    let out = run.run_placement_from(netlist.clone(), &VirtualEngine::paper(), constructive);
     let o = &out.outcome;
     println!("parallel  TS best cost: {:.4}", o.best_cost);
     println!(

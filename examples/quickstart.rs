@@ -30,7 +30,7 @@ fn main() {
 
     // Engines hide the substrate: swap in `&ThreadEngine` for native
     // threads without touching anything else.
-    let out = run.run_placement(netlist, &SimEngine::paper());
+    let out = run.run_placement(netlist, &VirtualEngine::paper());
     let o = &out.outcome;
 
     println!("initial cost : {:.4}", o.initial_cost);

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! pts circuits                      list the paper's benchmark circuits
-//! pts run [options]                 one PTS run (sim/threads/async/vt
+//! pts run [options]                 one PTS run (vt/threads/async/proc
 //!                                   engine, placement or QAP problem)
 //! pts sweep --what clw|tsw [...]    quality/speedup sweep (Figs 5-8 style)
 //! pts generate --cells N [...]      emit a synthetic netlist (text format)
@@ -15,7 +15,7 @@
 use parallel_tabu_search::core::{
     common_quality_target, speedup_sweep, AsyncEngine, Contention, CostKind, ExecutionEngine,
     FaultMix, FaultSpec, ProcDomain, ProcEngine, Pts, PtsConfig, PtsRun, QapDomain, SearchStrategy,
-    SimEngine, SnapshotMode, SyncPolicy, ThreadEngine, VirtualEngine, WireProblem,
+    SnapshotMode, SyncPolicy, ThreadEngine, VirtualEngine, WireProblem,
 };
 use parallel_tabu_search::netlist::{
     benchmark_names, by_name, format, generate, CircuitSpec, Netlist, NetlistStats, TimingGraph,
@@ -70,7 +70,7 @@ USAGE:
   pts circuits
   pts run      [--problem placement|qap] [--circuit NAME | --qap-size N]
                [--tsw N] [--clw N] [--global N] [--local N]
-               [--engine sim|threads|async|vt|proc] [--sync half|all] [--no-diversify]
+               [--engine vt|threads|async|proc] [--sync half|all] [--no-diversify]
                [--differentiate] [--cost fuzzy|weighted] [--seed N]
                [--candidates N] [--depth N] [--report-fraction F]
                [--portfolio S1,S2,...]  (heterogeneous strategy portfolio,
@@ -97,7 +97,7 @@ USAGE:
   pts show     --file FILE
 
 DEFAULTS: --problem placement --circuit c532 --qap-size 30 --tsw 4 --clw 1
-          --global 10 --local 20 --engine sim --sync half --cost fuzzy
+          --global 10 --local 20 --engine vt --sync half --cost fuzzy
           --seed 0xC0FFEE"
     );
 }
@@ -278,7 +278,7 @@ fn build_run(opts: &Opts) -> Result<PtsRun, String> {
 }
 
 /// Engine selection: substrates are trait objects behind one interface,
-/// so every problem domain gets all five for free. The bound is
+/// so every problem domain gets all four for free. The bound is
 /// `ProcDomain` (not just `PtsDomain`) so `--engine proc` can ship the
 /// instance to worker processes; both CLI domains implement it.
 fn pick_engine<D>(opts: &Opts, cfg: &PtsConfig) -> Result<Box<dyn ExecutionEngine<D>>, String>
@@ -286,7 +286,7 @@ where
     D: ProcDomain,
     <D as parallel_tabu_search::core::PtsDomain>::Problem: WireProblem,
 {
-    let name = opts.get("engine").unwrap_or("sim");
+    let name = opts.get("engine").unwrap_or("vt");
     if name != "vt" && (opts.flag("faults") || opts.flag("contention")) {
         return Err(format!(
             "--faults/--contention need the deterministic virtual clock: \
@@ -294,7 +294,6 @@ where
         ));
     }
     match name {
-        "sim" => Ok(Box::new(SimEngine::paper())),
         "threads" => Ok(Box::new(ThreadEngine)),
         "async" => Ok(Box::new(AsyncEngine::new())),
         "vt" => {
@@ -332,16 +331,15 @@ where
             ProcEngine::from_current_exe().map_err(|e| format!("--engine proc: {e}"))?,
         )),
         other => Err(format!(
-            "--engine must be 'sim', 'threads', 'async', 'vt', or 'proc', got '{other}'"
+            "--engine must be 'vt', 'threads', 'async', or 'proc', got '{other}'"
         )),
     }
 }
 
 fn engine_label(name: &str) -> &'static str {
     match name {
-        "sim" => "the 12-machine virtual cluster",
         "async" => "cooperative tasks on one thread",
-        "vt" => "the 12-machine virtual cluster (cooperative, thousand-worker scale)",
+        "vt" => "the 12-machine virtual cluster",
         "proc" => "worker processes over sockets",
         _ => "native threads",
     }
@@ -429,7 +427,7 @@ fn print_report(
     println!("search time  : {end_time:.2} s ({clock})");
     println!("wall time    : {:.2} s", report.wall_seconds);
     println!("forced reports: {forced_reports}");
-    // Utilization: virtual busy/wait on the sim engine, per-thread CPU
+    // Utilization: virtual busy/wait on the vt engine, per-thread CPU
     // time (getrusage, Linux) on the thread engine; the async engine
     // multiplexes all workers on one thread and reports none.
     let utilization = if report.utilization() > 0.0 {
@@ -457,7 +455,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     let base = build_run(opts)?;
     println!("sweeping {what} 1..={max} on {}", netlist.name);
 
-    let engine = SimEngine::paper();
+    let engine = VirtualEngine::paper();
     let mut traces = Vec::new();
     for n in 1..=max {
         let mut builder = Pts::from_config(base.config().clone());

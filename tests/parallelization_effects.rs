@@ -1,5 +1,5 @@
 //! Sanity checks on the paper's parallelization effects (Figs 5-8 in
-//! miniature). These use fixed seeds on the deterministic sim engine, so
+//! miniature). These use fixed seeds on the deterministic vt engine, so
 //! they are stable; the assertions encode the *direction* of each effect
 //! with generous tolerance rather than exact magnitudes.
 
@@ -17,7 +17,7 @@ fn more_clws_reach_quality_no_slower() {
     let mut traces = Vec::new();
     for n_clw in [1usize, 4] {
         let run = base().tsw_workers(4).clw_workers(n_clw).build().unwrap();
-        let out = run.run_placement(netlist.clone(), &SimEngine::paper());
+        let out = run.run_placement(netlist.clone(), &VirtualEngine::paper());
         traces.push((n_clw, out.outcome.trace));
     }
     let x = common_quality_target(&traces, 0.002);
@@ -38,7 +38,7 @@ fn multiple_tsws_beat_one_tsw_quality() {
             .clw_workers(1)
             .build()
             .unwrap()
-            .run_placement(netlist.clone(), &SimEngine::paper())
+            .run_placement(netlist.clone(), &VirtualEngine::paper())
             .outcome
             .best_cost
     };
@@ -61,7 +61,7 @@ fn diversification_does_not_hurt_final_quality() {
             .diversify(diversify)
             .build()
             .unwrap()
-            .run_placement(netlist.clone(), &SimEngine::paper())
+            .run_placement(netlist.clone(), &VirtualEngine::paper())
             .outcome
             .best_cost
     };
@@ -87,7 +87,7 @@ fn compound_depth_matters() {
             .depth(depth)
             .build()
             .unwrap()
-            .run_placement(netlist.clone(), &SimEngine::paper())
+            .run_placement(netlist.clone(), &VirtualEngine::paper())
             .outcome
             .best_cost
     };

@@ -3,16 +3,20 @@
 //! two teardown paths that must never leak worker processes — a client
 //! that dies mid-job, and SIGTERM to the daemon itself — and job-level
 //! retry: a crashed attempt announced with a `retrying` frame, restarted
-//! up to `max_restarts`, and failed with a final error past that.
+//! up to `max_restarts`, and failed with a final error past that. Raw
+//! sockets check the reader against malformed frames: a bad version
+//! byte gets an error reply, an oversized length prefix an error and a
+//! hang-up.
 //!
-//! The first two tests drive an in-process [`Server`]; the teardown tests
+//! The first four tests drive an in-process [`Server`]; the teardown tests
 //! exercise the real `pts-serve` binary, where orphaned worker ranks are
 //! identifiable by the daemon's pid embedded in the router socket path
 //! (`--sock .../pts-<pid>-<n>.sock`).
 
 use parallel_tabu_search::core::serve::{
-    Client, JobDomainSpec, JobRequest, JobResult, ServeEvent, Server,
+    kind, Client, JobDomainSpec, JobRequest, JobResult, ServeEvent, Server, SERVE_VERSION,
 };
+use parallel_tabu_search::core::wire;
 use parallel_tabu_search::core::{Pts, SyncPolicy};
 use std::io::BufRead;
 use std::process::{Command, Stdio};
@@ -153,6 +157,76 @@ fn cancelling_one_job_leaves_the_others_untouched() {
         short_result.job
     );
     assert_eq!(short_result.rounds, 3);
+
+    stop.store(true, Ordering::Release);
+    server.join().unwrap();
+}
+
+/// Raw client connection: frames are written by hand, so the tests can
+/// send what [`Client`] never would.
+fn raw_connect(addr: &str) -> std::os::unix::net::UnixStream {
+    let path = addr.strip_prefix("unix:").expect("unix address");
+    std::os::unix::net::UnixStream::connect(path).unwrap()
+}
+
+/// Read one server frame and return its job-0 ERROR message; panics on
+/// any other frame or on EOF.
+fn read_error(stream: &mut std::os::unix::net::UnixStream) -> String {
+    let body = wire::read_frame(stream)
+        .expect("serve stream intact")
+        .expect("an ERROR frame before EOF");
+    assert_eq!(body[0], SERVE_VERSION);
+    assert_eq!(body[1], kind::ERROR, "expected an ERROR frame");
+    let mut r = wire::WireReader::new(&body[2..]);
+    assert_eq!(r.u32().unwrap(), 0, "a frame-level error names no job");
+    let len = r.u32().unwrap() as usize;
+    String::from_utf8(r.bytes(len).unwrap().to_vec()).unwrap()
+}
+
+#[test]
+fn unparseable_frame_gets_an_error_and_the_connection_stays_in_sync() {
+    let (addr, stop, server) = start_server("bad-version", 1);
+    let mut stream = raw_connect(&addr);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    // Version byte 0xFF: no server speaks it.
+    wire::write_frame(&mut stream, &[0xFF, kind::SUBMIT, 1, 2, 3]).unwrap();
+    let message = read_error(&mut stream);
+    assert!(message.contains("version"), "unexpected error: {message}");
+
+    // The length prefix was sound, so the next frame parses: a current
+    // version with a garbage payload is a bad submit, not a lost stream.
+    wire::write_frame(&mut stream, &[SERVE_VERSION, kind::SUBMIT, 0xAA]).unwrap();
+    let message = read_error(&mut stream);
+    assert!(
+        message.contains("bad submit"),
+        "unexpected error: {message}"
+    );
+
+    stop.store(true, Ordering::Release);
+    server.join().unwrap();
+}
+
+#[test]
+fn oversized_length_prefix_gets_an_error_then_eof() {
+    use std::io::Write;
+    let (addr, stop, server) = start_server("oversized", 1);
+    let mut stream = raw_connect(&addr);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    // A 4 GiB prefix: the server must refuse it up front instead of
+    // buffering toward it.
+    stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
+    let message = read_error(&mut stream);
+    assert!(message.contains("exceeds"), "unexpected error: {message}");
+    assert!(
+        wire::read_frame(&mut stream).unwrap().is_none(),
+        "the server must close the connection after an oversized prefix"
+    );
 
     stop.store(true, Ordering::Release);
     server.join().unwrap();
