@@ -12,11 +12,12 @@
 //! * `threads` spends one OS thread per logical process — at
 //!   `n_tsw = 1024` that is 2049 threads, which is where hosts start to
 //!   push back (and why it only runs that point under `PTS_FULL=1`);
-//! * `async` multiplexes all logical processes on the calling thread and
-//!   runs every point, flat and sharded;
-//! * `vt` does the same under the paper cluster's *virtual clock*, so it
-//!   also runs every point, and uniquely reports virtual end time and
-//!   utilization at `n_tsw = 1024`;
+//! * `async` multiplexes all logical processes on the calling thread
+//!   (the vt runtime on one unit-speed virtual CPU per rank) and runs
+//!   every point, flat and sharded;
+//! * `vt` does the same on the paper cluster's heterogeneous machines, so
+//!   it also runs every point, and its wire-benchmark row reports virtual
+//!   end time and utilization at `n_tsw = 1024`;
 //! * `proc` runs one OS process per rank over a socket star (this binary
 //!   re-enters itself as the workers), measuring what real process
 //!   isolation and the explicit wire codec cost; its flat rows run at
@@ -258,10 +259,11 @@ fn measure_tabu(domain: &QapDomain) -> (WireRun, WireRun, f64) {
 }
 
 /// Report-only vt row for the wire benchmark: the same delta-mode run on
-/// the virtual-time cooperative engine, which uniquely measures the
-/// *virtual* timeline of the communication-bound regime — end time and
-/// utilization on the paper cluster at `n_tsw = 1024`, numbers the
-/// wall-clock engines cannot produce at this scale. No baseline gate:
+/// the paper cluster, which measures the *virtual* timeline of the
+/// communication-bound regime — end time and utilization on
+/// heterogeneous machines at `n_tsw = 1024`, numbers neither the
+/// wall-clock engines nor the homogeneous async preset produce. No
+/// baseline gate:
 /// this row contextualizes `BENCH_wire.json`, it does not anchor it.
 fn report_wire_vt(domain: &QapDomain) {
     let run = wire_config(SnapshotMode::Delta);

@@ -1,39 +1,33 @@
 //! The cooperative async engine: thousands of logical workers on one
-//! OS thread.
+//! OS thread, on a homogeneous virtual cluster.
 //!
 //! [`ThreadEngine`](crate::engine::ThreadEngine) spends one OS thread
 //! per logical process, which caps `n_tsw` at what the host will give us
 //! in threads and stacks (a few thousand at best, with megabytes of stack
-//! each). [`AsyncEngine`] runs the *same* master/TSW/CLW protocol — the
-//! loops are `async` and generic over [`crate::transport::Transport`] —
-//! as cooperatively scheduled futures on
-//! [`pts_vcluster::async_runtime::TaskCluster`]: a blocked receive is a
-//! parked future, not a parked thread, so `n_tsw` in the thousands fits
-//! in one thread's worth of OS resources.
+//! each). [`AsyncEngine`] runs the *same* master/TSW/CLW protocol as
+//! cooperatively scheduled futures, so `n_tsw` in the thousands fits in
+//! one thread's worth of OS resources.
 //!
-//! Like the thread engine it executes in real time (no virtual clock):
-//! `compute` records work units only, reports carry wall-clock seconds,
-//! and [`ClockDomain::Wall`] marks the report. Unlike the thread engine
-//! it is *deterministic*: tasks are polled in FIFO send order on one
-//! thread, so identical inputs replay identical executions — the
-//! `engines_agree` integration tests pin the async engine to the virtual
-//! cluster's search results seed-for-seed.
+//! It is a preset of [`VirtualEngine`], not an executor of its own: the
+//! run goes through the discrete-event runtime on
+//! [`topology::homogeneous(1)`](pts_vcluster::topology::homogeneous) —
+//! every rank gets a dedicated unit-speed CPU (the default
+//! [`Contention::Exclusive`](crate::fault::Contention) model), and every
+//! message crosses a loopback link. That is the paper's homogeneous
+//! control condition. The report is marked `"async"` and, like any vt
+//! run, carries [`ClockDomain::Virtual`](crate::report::ClockDomain)
+//! times; `wall_seconds` is host time. Identical inputs replay
+//! bit-identically, and the `engines_agree` and `proc_engine` suites pin
+//! its search results against the other engines.
 
 use crate::config::PtsConfig;
-use crate::control::RunControl;
-use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
-use crate::engine::{run_worker, EngineOutput, ExecutionEngine};
-use crate::master::run_master;
-use crate::messages::PtsMsg;
-use crate::report::{ClockDomain, RunReport};
-use crate::transport::TaskTransport;
-use pts_vcluster::TaskCluster;
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::time::Instant;
+use crate::domain::{PtsDomain, SnapshotOf};
+use crate::engine::{EngineOutput, ExecutionEngine};
+use crate::virtual_engine::VirtualEngine;
+use pts_vcluster::topology::homogeneous;
 
 /// Cooperative-futures engine: the whole PTS process tree multiplexed on
-/// the calling thread.
+/// the calling thread, one unit-speed virtual CPU per rank.
 ///
 /// Construction is free of configuration — every run-shape decision lives
 /// in the validated [`PtsConfig`] (see [`crate::builder::Pts::builder`]).
@@ -70,51 +64,9 @@ impl<D: PtsDomain> ExecutionEngine<D> for AsyncEngine {
     }
 
     fn execute(&self, cfg: &PtsConfig, domain: &D, initial: SnapshotOf<D>) -> EngineOutput<D> {
-        let wall = Instant::now();
-        let mut cluster: TaskCluster<PtsMsg<D::Problem>> = TaskCluster::new();
-        let outcome_slot: Rc<RefCell<Option<SearchOutcome<SnapshotOf<D>>>>> =
-            Rc::new(RefCell::new(None));
-
-        // Task 0: master, then every worker rank. Spawn order must equal
-        // rank order (TaskTransport identifies rank with task id).
-        {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            let slot = Rc::clone(&outcome_slot);
-            cluster.spawn(move |ctx| async move {
-                let mut t = TaskTransport { ctx };
-                let outcome =
-                    run_master(&mut t, &cfg, &domain, initial, &RunControl::unlimited()).await;
-                *slot.borrow_mut() = Some(outcome);
-            });
-        }
-        for rank in 1..cfg.total_procs() {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            cluster.spawn(move |ctx| async move {
-                let mut t = TaskTransport { ctx };
-                run_worker(&mut t, &cfg, &domain, rank).await;
-            });
-        }
-        debug_assert_eq!(cluster.num_spawned(), cfg.total_procs());
-
-        let cluster_report = cluster.run();
-        let outcome = outcome_slot
-            .borrow_mut()
-            .take()
-            .expect("master deposits its outcome");
-        let wall_seconds = wall.elapsed().as_secs_f64();
-        EngineOutput {
-            outcome,
-            report: RunReport {
-                engine: "async",
-                clock: ClockDomain::Wall,
-                end_time: cluster_report.end_time,
-                wall_seconds,
-                per_proc: cluster_report.per_proc,
-                dead_ranks: vec![],
-            },
-        }
+        let mut out = VirtualEngine::new(homogeneous(1)).execute(cfg, domain, initial);
+        out.report.engine = "async";
+        out
     }
 }
 
@@ -123,6 +75,7 @@ mod tests {
     use super::*;
     use crate::builder::Pts;
     use crate::qap_domain::QapDomain;
+    use crate::report::ClockDomain;
 
     fn small_run() -> crate::builder::PtsRun {
         Pts::builder()
@@ -143,7 +96,7 @@ mod tests {
         let out = small_run().execute(&domain, &AsyncEngine::new());
         assert!(out.outcome.best_cost <= out.outcome.initial_cost);
         assert_eq!(out.report.engine, "async");
-        assert_eq!(out.report.clock, ClockDomain::Wall);
+        assert_eq!(out.report.clock, ClockDomain::Virtual);
         assert_eq!(out.report.num_procs(), small_run().config().total_procs());
         assert!(out.report.total_messages() > 0);
         // Every worker computed and communicated.
@@ -168,12 +121,13 @@ mod tests {
 
     #[test]
     fn clw_half_report_has_an_effect_on_the_cooperative_schedule() {
-        // CLWs yield between compound-move steps, so a TSW that reaches
-        // quorum can cut stragglers mid-investigation even on the
-        // single-threaded executor. If the yield were missing, every CLW
-        // would finish its whole investigation before the TSW ran again,
-        // CutShort would always arrive stale, and HalfReport would be
-        // indistinguishable from WaitAll at this tier.
+        // Every `compute` suspends the CLW until its charged work is done,
+        // so a TSW that reaches quorum runs mid-investigation and its
+        // `CutShort` is in the straggler's mailbox at the next poll, even
+        // on the single-threaded executor. If CLWs ran whole
+        // investigations without suspending, CutShort would always arrive
+        // stale and HalfReport would be indistinguishable from WaitAll at
+        // this tier.
         use crate::config::SyncPolicy;
         let domain = QapDomain::random(32, 21);
         let outcome_with = |clw_sync: SyncPolicy| {

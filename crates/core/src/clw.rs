@@ -267,16 +267,14 @@ async fn investigate<D: PtsDomain, T: Transport<D::Problem>>(
         if *cost_after.last().expect("just pushed") < start_cost {
             break;
         }
-        // Nothing left to cut after the final step; skip the yield/poll.
+        // Nothing left to cut after the final step; skip the poll.
         if step + 1 == strat.depth {
             break;
         }
-        // Heterogeneity: the TSW may cut the investigation short. Yield
-        // first — on the cooperative substrate this is what lets the TSW
-        // (and sibling CLWs) run mid-investigation, so a `CutShort` can
-        // actually be in the mailbox by the time we poll; without it the
-        // half-report policy would silently degrade to wait-all there.
-        t.yield_now().await;
+        // Heterogeneity: the TSW may cut the investigation short. On the
+        // cooperative substrate the `compute` calls above suspend, so the
+        // TSW (and sibling CLWs) run mid-investigation and a `CutShort`
+        // can already be in the mailbox when we poll.
         let mut cut = false;
         while let Some(msg) = t.try_recv() {
             match msg {

@@ -8,9 +8,8 @@
 //!   virtual-time heterogeneous cluster (the paper's testbed substitute:
 //!   exact replay, virtual metrics, thousands of workers on one thread);
 //! * [`ThreadEngine`] — native OS threads (real wall-clock parallelism);
-//! * [`crate::async_engine::AsyncEngine`] — cooperative futures on one OS
-//!   thread (thousands of logical workers, deterministic replay, wall
-//!   clock);
+//! * [`crate::async_engine::AsyncEngine`] — a `VirtualEngine` preset on
+//!   one unit-speed virtual CPU per rank (the homogeneous control);
 //! * [`crate::proc::ProcEngine`] — worker ranks as child OS processes
 //!   over sockets.
 //!

@@ -30,9 +30,8 @@
 //!   virtual heterogeneous cluster ([`virtual_engine::VirtualEngine`],
 //!   the paper's PVM-testbed substitute, at thousand-worker scale on one
 //!   OS thread), native threads ([`engine::ThreadEngine`]) for real
-//!   wall-clock parallelism, cooperative futures
-//!   ([`async_engine::AsyncEngine`]) multiplexing thousands of logical
-//!   workers on one OS thread, or worker ranks as child OS processes
+//!   wall-clock parallelism, its homogeneous unit-speed preset
+//!   ([`async_engine::AsyncEngine`]), or worker ranks as child OS processes
 //!   ([`proc::ProcEngine`]). Every engine runs the master itself and
 //!   hosts the other ranks through [`engine::run_worker`]; all return one
 //!   unified [`report::RunReport`].

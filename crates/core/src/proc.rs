@@ -102,6 +102,11 @@ impl ProcDomain for crate::qap_domain::QapDomain {
         if !(2..=1 << 16).contains(&n) {
             return Err(WireError::Malformed("implausible QAP size"));
         }
+        // Two n×n f64 matrices follow: refuse a short frame before
+        // reserving room for them.
+        if (r.remaining() as u64) < 16 * (n as u64) * (n as u64) {
+            return Err(WireError::Truncated);
+        }
         let mut flow = Vec::with_capacity(n * n);
         for _ in 0..n * n {
             flow.push(r.f64()?);
@@ -550,8 +555,7 @@ impl ProcEngine {
         // Rank 0's counters are its own (accurate local accounting);
         // worker ranks' traffic comes from the hub, which saw every
         // frame. busy/work stay 0 for ranks that lived in other
-        // processes — like the async engine, the proc report measures
-        // traffic, not worker CPU.
+        // processes — the proc report measures traffic, not worker CPU.
         let mut per_proc = router.traffic().to_proc_stats();
         if per_proc.is_empty() {
             per_proc = vec![Default::default(); total];
@@ -633,6 +637,16 @@ mod tests {
             rebuilt.instance().dist_matrix(),
             domain.instance().dist_matrix()
         );
+    }
+
+    #[test]
+    fn qap_spec_header_without_matrices_is_rejected() {
+        // The largest accepted size announces 64 GiB of matrices; a frame
+        // that ends after the header must fail before allocating them.
+        let mut spec = Vec::new();
+        wire::put_u64(&mut spec, 1 << 16);
+        let got = QapDomain::decode_spec(&mut WireReader::new(&spec), &PtsConfig::default());
+        assert_eq!(got.err(), Some(WireError::Truncated));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Unified run metrics across execution engines.
 //!
-//! All four engines produce the *same* report type: the virtual cluster
-//! and the virtual-time cooperative engine fill it with virtual-time
-//! accounting (the paper's measurements — busy/wait seconds per process,
-//! bit-identical between the two), the thread engine with wall-clock and
-//! channel accounting, and the cooperative async engine with wall-clock
-//! accounting for its single-threaded task schedule. No field is
-//! engine-optional — code consuming a report never needs to know which
-//! substrate carried the run.
+//! All four engines produce the *same* report type: the virtual-time
+//! cooperative engine — and the async engine, its homogeneous preset —
+//! fill it with virtual-time accounting (the paper's measurements —
+//! busy/wait seconds per process), the thread and proc engines with
+//! wall-clock and channel accounting. No field is engine-optional — code
+//! consuming a report never needs to know which substrate carried the
+//! run.
 
 use pts_vcluster::ProcStats;
 
@@ -16,8 +15,8 @@ use pts_vcluster::ProcStats;
 pub enum ClockDomain {
     /// Deterministic virtual seconds (simulated heterogeneous cluster).
     Virtual,
-    /// Host wall-clock seconds (native threads and the cooperative async
-    /// engine, which both execute in real time).
+    /// Host wall-clock seconds (native threads and child processes,
+    /// which execute in real time).
     Wall,
 }
 
@@ -32,14 +31,14 @@ pub struct RunReport {
     /// units.
     pub end_time: f64,
     /// Real wall-clock duration of the whole run on this host (equals the
-    /// search time for the thread engine, host time for the vt engine).
+    /// search time for the thread engine, host time for the vt and async
+    /// engines).
     pub wall_seconds: f64,
-    /// Per-process counters, indexed by rank (master = 0). The vt engine
-    /// reports full virtual-time accounting; the thread and async engines
-    /// report message/byte/work counters and recv wait time. On Linux the
-    /// thread engine also fills `busy_time` with each worker thread's CPU
-    /// time (`getrusage(RUSAGE_THREAD)`); the async engine reports 0 busy
-    /// time (all workers share the calling thread).
+    /// Per-process counters, indexed by rank (master = 0). The vt and
+    /// async engines report full virtual-time accounting; the thread and
+    /// proc engines report message/byte/work counters and recv wait time.
+    /// On Linux the thread engine also fills `busy_time` with each worker
+    /// thread's CPU time (`getrusage(RUSAGE_THREAD)`).
     pub per_proc: Vec<ProcStats>,
     /// Ranks observed to die mid-run (sorted, deduplicated). Populated
     /// only by the proc engine's supervisor — abnormal child exits and
@@ -72,11 +71,11 @@ impl RunReport {
     }
 
     /// Fraction of total process-time spent computing rather than waiting.
-    /// Meaningful for the vt engine (the paper's utilization
+    /// Meaningful for the vt and async engines (the paper's utilization
     /// measure, in virtual time) and, on Linux, for the thread engine
     /// (per-thread CPU time via `getrusage(RUSAGE_THREAD)` against
-    /// channel-blocked wall time). The async engine multiplexes every
-    /// worker on one thread and reports 0 busy time, hence 0.
+    /// channel-blocked wall time). The proc engine reports 0 busy time,
+    /// hence 0.
     pub fn utilization(&self) -> f64 {
         let busy: f64 = self.per_proc.iter().map(|p| p.busy_time).sum();
         let wait: f64 = self.per_proc.iter().map(|p| p.wait_time).sum();

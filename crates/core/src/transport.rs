@@ -1,18 +1,17 @@
 //! Transport abstraction: the same master/TSW/CLW code runs on native
-//! threads (real parallel wall-clock execution), on the two cooperative
-//! task runtimes (thousands of logical workers on one thread — wall clock
-//! or virtual time), and over sockets between OS processes.
+//! threads (real parallel wall-clock execution), on the cooperative
+//! virtual-time task runtime (thousands of logical workers on one
+//! thread), and over sockets between OS processes.
 //!
 //! The protocol loops are `async`: [`Transport::recv`] and
 //! [`Transport::compute`] are their suspension points. Blocking
 //! substrates (native threads, sockets) resolve both futures on their
 //! first poll — they block *inside* the poll, so driving their protocol
 //! futures with [`drive_sync`] never actually suspends. The cooperative
-//! substrates suspend for real: [`TaskTransport`] returns
-//! `Pending` on an empty mailbox, and [`VirtualTransport`] additionally
-//! parks inside `compute` until the charged work completes on the task's
-//! machine — which is what lets one OS thread interleave thousands of
-//! workers in FIFO order or under a virtual clock, respectively.
+//! substrate suspends for real: [`VirtualTransport`] returns `Pending`
+//! on an empty mailbox and parks inside `compute` until the charged work
+//! completes on the task's machine — which is what lets one OS thread
+//! interleave thousands of workers under a virtual clock.
 //!
 //! All transports account per-process metrics into the same
 //! [`ProcStats`] shape, which is what lets the engines return one unified
@@ -20,7 +19,7 @@
 
 use crate::domain::PtsProblem;
 use crate::messages::PtsMsg;
-use pts_vcluster::{ProcStats, TaskCtx, VirtualTaskCtx};
+use pts_vcluster::{ProcStats, VirtualTaskCtx};
 use std::future::Future;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -62,14 +61,6 @@ pub trait Transport<P: PtsProblem> {
         let _ = deadline;
         async move { Some(self.recv().await) }
     }
-    /// Scheduling point inside a long compute stretch. On substrates
-    /// where peers progress independently (virtual time, threads) this
-    /// is a no-op; the cooperative transport re-enqueues the task so
-    /// siblings run — and messages sent mid-stretch (a `CutShort`) can
-    /// arrive before the stretch completes.
-    fn yield_now(&mut self) -> impl Future<Output = ()> {
-        std::future::ready(())
-    }
 }
 
 /// Protocol-anomaly note: a message was dropped because it did not fit
@@ -91,7 +82,7 @@ pub(crate) fn protocol_warn(rank: usize, what: &str) {
 /// # Panics
 ///
 /// If the future suspends — that would mean it was built over a
-/// cooperative transport, which only the task-cluster executor can drive.
+/// cooperative transport, which only the virtual-time executor can drive.
 pub fn drive_sync<F: Future>(fut: F) -> F::Output {
     let mut fut = std::pin::pin!(fut);
     let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
@@ -216,58 +207,14 @@ impl<P: PtsProblem> Drop for ThreadTransport<P> {
     }
 }
 
-/// Cooperative-task transport: ranks coincide with task ids (tasks are
-/// spawned in rank order by [`crate::async_engine::AsyncEngine`]). The
-/// only transport whose `recv` actually suspends.
-pub struct TaskTransport<P: PtsProblem> {
-    /// The cooperative task handle this transport wraps.
-    pub ctx: TaskCtx<PtsMsg<P>>,
-}
-
-impl<P: PtsProblem> Transport<P> for TaskTransport<P> {
-    fn rank(&self) -> usize {
-        self.ctx.id()
-    }
-
-    fn now(&self) -> f64 {
-        self.ctx.now()
-    }
-
-    fn compute(&mut self, work: f64) -> impl Future<Output = ()> {
-        // Wall-clock cooperative substrate: record the units only.
-        self.ctx.compute(work);
-        std::future::ready(())
-    }
-
-    fn send(&mut self, dst: usize, msg: PtsMsg<P>) {
-        let bytes = msg.wire_size();
-        crate::meter::note_send(&msg);
-        self.ctx.send_sized(dst, msg, bytes);
-    }
-
-    fn recv(&mut self) -> impl Future<Output = PtsMsg<P>> {
-        self.ctx.recv()
-    }
-
-    fn try_recv(&mut self) -> Option<PtsMsg<P>> {
-        self.ctx.try_recv()
-    }
-
-    fn yield_now(&mut self) -> impl Future<Output = ()> {
-        self.ctx.yield_now()
-    }
-}
-
 /// Virtual-time cooperative transport: ranks coincide with task ids
 /// (tasks are spawned in rank order by
-/// [`crate::virtual_engine::VirtualEngine`]). Both `recv` *and*
-/// `compute` suspend — a parked future stands in for a parked
-/// process, so the discrete-event executor can interleave thousands of
-/// workers under one virtual clock.
-///
-/// `yield_now` keeps the default no-op: on a virtual-time substrate
-/// `compute` itself is the scheduling point, so peers already interleave
-/// mid-stretch.
+/// [`crate::virtual_engine::VirtualEngine`], which also carries
+/// [`crate::async_engine::AsyncEngine`]). Both `recv` *and* `compute`
+/// suspend — a parked future stands in for a parked process, so the
+/// discrete-event executor can interleave thousands of workers under one
+/// virtual clock, and a message sent while a peer is mid-stretch (a
+/// `CutShort`) is there at its next poll.
 pub struct VirtualTransport<P: PtsProblem> {
     /// The virtual-time task handle this transport wraps.
     pub ctx: VirtualTaskCtx<PtsMsg<P>>,
@@ -388,19 +335,23 @@ mod tests {
     }
 
     #[test]
-    fn task_transport_routes_messages() {
-        use pts_vcluster::TaskCluster;
-        let mut cluster: TaskCluster<PtsMsg<Qap>> = TaskCluster::new();
-        cluster.spawn(|ctx| async move {
-            let mut t = TaskTransport { ctx };
+    fn virtual_transport_routes_messages() {
+        use pts_vcluster::topology::homogeneous;
+        use pts_vcluster::VirtualTaskCluster;
+        let mut cluster: VirtualTaskCluster<PtsMsg<Qap>> = VirtualTaskCluster::new(homogeneous(2));
+        cluster.spawn(0, |ctx| async move {
+            let mut t = VirtualTransport { ctx };
             assert_eq!(Transport::rank(&t), 0);
             assert!(t.try_recv().is_none());
             assert!(matches!(t.recv().await, PtsMsg::Investigate { seq: 9, .. }));
+            assert!(t.now() > 1.5, "recv waits for the sender's compute");
             t.send(1, PtsMsg::Stop);
         });
-        cluster.spawn(|ctx| async move {
-            let mut t = TaskTransport { ctx };
+        cluster.spawn(1, |ctx| async move {
+            let mut t = VirtualTransport { ctx };
+            assert_eq!(Transport::rank(&t), 1);
             t.compute(1.5).await;
+            assert!((t.now() - 1.5).abs() < 1e-12, "compute advances the clock");
             t.send(
                 0,
                 PtsMsg::Investigate {
@@ -412,8 +363,17 @@ mod tests {
         });
         let report = cluster.run();
         assert_eq!(report.per_proc[0].messages_sent, 1);
+        assert_eq!(report.per_proc[0].messages_received, 1);
         assert_eq!(report.per_proc[1].messages_received, 1);
         assert!((report.per_proc[1].work_done - 1.5).abs() < 1e-12);
-        assert!(report.per_proc[0].bytes_sent > 0, "wire sizes accounted");
+        let investigate = PtsMsg::<Qap>::Investigate {
+            seq: 9,
+            strategy: 0,
+        };
+        assert_eq!(
+            report.per_proc[1].bytes_sent,
+            investigate.wire_size(),
+            "wire sizes accounted"
+        );
     }
 }

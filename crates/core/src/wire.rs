@@ -317,6 +317,9 @@ impl WireProblem for pts_tabu::qap::Qap {
         if !nbytes.is_multiple_of(8) {
             return Err(WireError::Malformed("QAP snapshot bytes not entry-aligned"));
         }
+        if r.remaining() < nbytes {
+            return Err(WireError::Truncated);
+        }
         let n = nbytes / 8;
         let mut loc_of = Vec::with_capacity(n);
         for _ in 0..n {
@@ -335,6 +338,9 @@ impl WireProblem for pts_tabu::qap::Qap {
     fn get_delta(r: &mut WireReader<'_>, nbytes: usize) -> Result<DeltaOf<Self>, WireError> {
         if !nbytes.is_multiple_of(8) {
             return Err(WireError::Malformed("QAP delta bytes not entry-aligned"));
+        }
+        if r.remaining() < nbytes {
+            return Err(WireError::Truncated);
         }
         let n = nbytes / 8;
         let mut changes = Vec::with_capacity(n);
@@ -411,6 +417,9 @@ impl WireProblem for crate::placement_problem::PlacementProblem {
         if !nbytes.is_multiple_of(4) {
             return Err(WireError::Malformed("placement bytes not slot-aligned"));
         }
+        if r.remaining() < nbytes {
+            return Err(WireError::Truncated);
+        }
         let n = nbytes / 4;
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
@@ -432,6 +441,9 @@ impl WireProblem for crate::placement_problem::PlacementProblem {
             return Err(WireError::Malformed(
                 "placement delta bytes not entry-aligned",
             ));
+        }
+        if r.remaining() < nbytes {
+            return Err(WireError::Truncated);
         }
         let n = nbytes / 8;
         let mut moves = Vec::with_capacity(n);
@@ -1595,6 +1607,23 @@ mod tests {
                 want: WIRE_VERSION
             })
         );
+    }
+
+    #[test]
+    fn oversized_snapshot_length_is_rejected_before_allocating() {
+        // A u32 length field (rounded down to entry alignment) over an
+        // 8-byte body: both domains must refuse it, not reserve 4 GiB.
+        let nbytes = u32::MAX as usize & !7;
+        let body = [0u8; 8];
+        let qap = <Qap as WireProblem>::get_snapshot(&mut WireReader::new(&body), nbytes, &());
+        assert_eq!(qap.err(), Some(WireError::Truncated));
+        let layout = pts_place::layout::Layout::new(2, 2, 1.0, 1.0);
+        let placement = <crate::placement_problem::PlacementProblem as WireProblem>::get_snapshot(
+            &mut WireReader::new(&body),
+            nbytes,
+            &layout,
+        );
+        assert_eq!(placement.err(), Some(WireError::Truncated));
     }
 
     #[test]

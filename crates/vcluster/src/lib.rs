@@ -23,12 +23,10 @@
 //! * opt-in [`fault`] layers add machine contention and scripted faults.
 //!
 //! The paper's twelve-machine cluster (7 fast / 3 medium / 2 slow) is
-//! provided by [`topology::paper_cluster`].
-//!
-//! [`async_runtime::TaskCluster`] is the wall-clock sibling: the same
-//! cooperative futures in deterministic FIFO order, without virtual time.
+//! provided by [`topology::paper_cluster`]; [`topology::homogeneous`]
+//! is the unit-speed control condition.
 
-pub mod async_runtime;
+mod async_runtime;
 pub mod fault;
 pub mod machine;
 pub mod mailbox;
@@ -37,7 +35,6 @@ pub mod metrics;
 pub mod topology;
 pub mod virtual_runtime;
 
-pub use async_runtime::{TaskCluster, TaskCtx};
 pub use fault::{Contention, FaultPlan, MachineEvent, RouteAction, RouteFault};
 pub use machine::{LoadModel, Machine};
 pub use message::LinkModel;

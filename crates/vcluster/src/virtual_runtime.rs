@@ -4,21 +4,26 @@
 //! The timing model is what the paper's measurements need — per-machine
 //! speed, background load, message latency. [`VirtualTaskCluster`]
 //! carries it on cooperative futures: every logical process is a
-//! *future* (like [`crate::async_runtime::TaskCluster`]), and the
-//! executor is a discrete-event scheduler over an [`EventQueue`] of
-//! `(virtual_time, task)` wake-ups. `compute` charges work against the
-//! task's machine — integrating speed and [`crate::machine::LoadModel`]
-//! — and suspends the future until the charged end time; `recv` parks
-//! the future until a message's [`Envelope::deliver_at`] is reached.
-//! Every scheduling decision is a deterministic function of virtual
-//! times and task ids (`(wake, task id)` order, mailbox delivery by
-//! `(arrival, send seq)`, per-route FIFO), so identical programs replay
-//! bit-identically — in timeline and accounting — while thousands of
-//! tasks fit in one OS thread.
+//! *future*, and the executor is a discrete-event scheduler over an
+//! [`EventQueue`] of `(virtual_time, task)` wake-ups. `compute` charges
+//! work against the task's machine — integrating speed and
+//! [`crate::machine::LoadModel`] — and suspends the future until the
+//! charged end time; `recv` parks the future until a message's
+//! [`Envelope::deliver_at`] is reached. Every scheduling decision is a
+//! deterministic function of virtual times and task ids (`(wake, task
+//! id)` order, mailbox delivery by `(arrival, send seq)`, per-route
+//! FIFO), so identical programs replay bit-identically — in timeline and
+//! accounting — while thousands of tasks fit in one OS thread.
 //!
 //! Only `compute` and `recv` suspend; `send` is synchronous and costs
 //! the sender no virtual time (message cost is all link latency and
-//! bandwidth).
+//! bandwidth). Because `compute` suspends, a task in a long compute
+//! stretch sees, at its next `try_recv`, what peers sent meanwhile.
+//!
+//! This is the project's one cooperative executor: the paper's
+//! heterogeneous cluster runs on it, and so does its homogeneous control
+//! ([`crate::topology::homogeneous`]), which is how the core crate's
+//! `async` engine hosts thousands of ranks on one thread.
 //!
 //! # Contention and faults
 //!
@@ -53,9 +58,44 @@ use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::future::Future;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
+
+/// Multiplicative hasher for the runtime's integer-keyed tables (event
+/// tickets, `(src, dst)` routes). They are touched on every event, where
+/// the default SipHash is measurable. Both tables are only looked up,
+/// never iterated, so the hasher cannot influence the schedule.
+#[derive(Clone, Copy, Debug, Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        // Golden-ratio multiply: spreads sequential keys across both the
+        // low (bucket) and high (tag) bits of the hash.
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
 /// One pending wake-up in the [`EventQueue`].
 #[derive(Clone, Copy, Debug)]
@@ -108,7 +148,7 @@ impl Ord for Event {
 pub struct EventQueue {
     heap: BinaryHeap<Event>,
     /// Tickets scheduled and neither popped nor cancelled yet.
-    live: HashSet<u64>,
+    live: IntSet<u64>,
     next_seq: u64,
 }
 
@@ -252,7 +292,7 @@ struct VHub<M> {
     slots: RefCell<Vec<Slot<M>>>,
     /// Last delivery time per (src, dst) pair: enforces FIFO channels
     /// (a small message never overtakes a large one on the same route).
-    pair_last: RefCell<HashMap<(usize, usize), f64>>,
+    pair_last: RefCell<IntMap<(usize, usize), f64>>,
     /// Tracked-compute + fault state; `None` on the historical fast path
     /// (no contention model, no fault plan).
     faults: RefCell<Option<FaultRt<M>>>,
@@ -892,7 +932,7 @@ impl<M> VirtualTaskCluster<M> {
             send_seq: Cell::new(0),
             queue: RefCell::new(queue),
             slots: RefCell::new(slots),
-            pair_last: RefCell::new(HashMap::new()),
+            pair_last: RefCell::new(IntMap::default()),
             faults: RefCell::new(fault_rt),
         });
         let mut tasks: Vec<Option<TaskFuture>> = self
@@ -1190,6 +1230,33 @@ mod tests {
         });
         vt.run();
         assert_eq!(*got.lock().unwrap(), (None, Some(7)));
+    }
+
+    #[test]
+    fn message_sent_mid_stretch_arrives_before_stretch_ends() {
+        // The cut-short pattern: a task in a multi-step compute stretch
+        // must see, through `try_recv`, a message a peer sent after the
+        // stretch began. Each `compute` suspends, so the peer runs
+        // meanwhile.
+        let cut_at = Arc::new(Mutex::new(None));
+        let mut vt: VirtualTaskCluster<&'static str> = VirtualTaskCluster::new(homogeneous(2));
+        let c = Arc::clone(&cut_at);
+        vt.spawn(0, move |ctx| async move {
+            for step in 0..100u32 {
+                ctx.compute(1.0).await;
+                if ctx.try_recv().is_some() {
+                    *c.lock().unwrap() = Some(step);
+                    return;
+                }
+            }
+        });
+        vt.spawn(1, move |ctx| async move {
+            ctx.compute(2.5).await; // the worker's stretch is under way
+            ctx.send(0, "cut");
+        });
+        vt.run();
+        let cut = cut_at.lock().unwrap().expect("worker must see the cut");
+        assert!((1..100).contains(&cut), "cut mid-stretch, got step {cut}");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! `n_tsw = 1000` (plus a CLW each, plus the master: 2001 processes)
 //! would ask the OS for 2001 threads and their stacks.
 //! `AsyncEngine` runs the same master/TSW/CLW protocol as cooperatively
-//! scheduled futures: 2001 logical workers, one OS thread.
+//! scheduled futures on the discrete-event runtime, one unit-speed
+//! virtual CPU per rank: 2001 logical workers, one OS thread.
 //!
 //! Run with:
 //!
@@ -65,6 +66,11 @@ fn main() {
         "traffic      : {} messages, {:.1} MiB accounted",
         out.report.total_messages(),
         out.report.total_bytes() as f64 / (1024.0 * 1024.0)
+    );
+    println!(
+        "virtual time : {:.1} s, {:.0}% utilization",
+        out.report.end_time,
+        100.0 * out.report.utilization()
     );
     println!(
         "wall time    : {:.2} s for {} logical processes ({} TSW reports/round)",

@@ -338,7 +338,7 @@ where
 
 fn engine_label(name: &str) -> &'static str {
     match name {
-        "async" => "cooperative tasks on one thread",
+        "async" => "cooperative tasks on a homogeneous virtual cluster",
         "vt" => "the 12-machine virtual cluster",
         "proc" => "worker processes over sockets",
         _ => "native threads",
@@ -427,9 +427,9 @@ fn print_report(
     println!("search time  : {end_time:.2} s ({clock})");
     println!("wall time    : {:.2} s", report.wall_seconds);
     println!("forced reports: {forced_reports}");
-    // Utilization: virtual busy/wait on the vt engine, per-thread CPU
-    // time (getrusage, Linux) on the thread engine; the async engine
-    // multiplexes all workers on one thread and reports none.
+    // Utilization: virtual busy/wait on the vt and async engines,
+    // per-thread CPU time (getrusage, Linux) on the thread engine; the
+    // proc engine reports none.
     let utilization = if report.utilization() > 0.0 {
         format!("{:.0}% utilization", report.utilization() * 100.0)
     } else {

@@ -52,7 +52,7 @@ fn all_engines_improve_and_stay_consistent() {
 fn vt_engine_matches_async_and_threads_best_cost_under_wait_all() {
     // Under WaitAll nothing in the search trajectory depends on timing
     // (no ForceReport/CutShort is ever sent), so the virtual-clock vt
-    // engine, the FIFO async engine, and the genuinely parallel thread
+    // engine, the homogeneous async engine, and the genuinely parallel thread
     // engine must all walk the exact same search, round for round.
     let domain = QapDomain::random(24, 3);
     let run = Pts::builder()
@@ -87,7 +87,7 @@ fn vt_engine_matches_async_and_threads_best_cost_under_wait_all() {
 fn async_engine_matches_sim_best_cost_under_wait_all() {
     // Under WaitAll nothing in the search trajectory depends on timing
     // (no ForceReport/CutShort is ever sent), so the two deterministic
-    // engines — virtual time and cooperative FIFO — must walk the exact
+    // engines — heterogeneous and homogeneous virtual time — must walk the exact
     // same search and land on the same best cost, round for round.
     let domain = QapDomain::random(24, 3);
     let run = Pts::builder()
@@ -399,7 +399,7 @@ fn uniform_portfolio_is_identical_to_empty_portfolio_on_all_engines() {
     // reallocator — while giving it exactly one thing to choose. The
     // search must be trajectory-identical to the empty-portfolio run on
     // all four engines, flat and through the sharded collection tree
-    // (WaitAll, so the wall-clock engines are deterministic too).
+    // (WaitAll, so the thread engine is deterministic too).
     let domain = QapDomain::random(24, 3);
     let build = |portfolio: bool, fanout: usize| {
         let mut b = Pts::builder()
